@@ -107,7 +107,13 @@ class BufferManager:
     preemptive_admission: bool = False
 
     #: Whether the scheme drives the switch's expulsion engine (Occamy-style
-    #: decoupled preemption on the egress side).
+    #: decoupled preemption on the egress side).  Precondition: the scheme's
+    #: threshold must be monotone in the buffer state -- dequeues, drops and
+    #: head drops never shorten any queue's threshold.  DT-family thresholds
+    #: ``T(t) = alpha * (B - Q(t))`` qualify: only an admission (or an alpha
+    #: change) can then create an over-allocated queue, which is what lets
+    #: the switch skip the engine after dequeues and drops while
+    #: :attr:`~repro.core.expulsion.ExpulsionEngine.pending` is clear.
     uses_expulsion_engine: bool = False
 
     def __init__(self) -> None:
@@ -160,12 +166,25 @@ class BufferManager:
                              now: float) -> List[bool]:
         """Per-queue over-allocation flags, in queue order.
 
-        The expulsion engine rebuilds this bitmap on every invocation;
-        schemes whose threshold shares work across queues (DT's free-buffer
-        term) override it to hoist that work out of the per-queue loop.
+        The expulsion engine rebuilds this bitmap once per head-drop attempt,
+        and only after :meth:`any_over_allocated` has found at least one
+        over-allocated queue; schemes whose threshold shares work across
+        queues (DT's free-buffer term) override it to hoist that work out of
+        the per-queue loop.
         """
         return [queue.length_bytes > self.threshold(queue, now)
                 for queue in queues]
+
+    def any_over_allocated(self, queues: Sequence[QueueView],
+                           now: float) -> bool:
+        """Whether any of ``queues`` is over-allocated right now.
+
+        The expulsion engine asks this before it builds a bitmap, so an idle
+        engine costs one call.  Schemes with a cheaper sufficient test (DT's
+        occupancy guard) override it; the answer must always equal
+        ``any(self.over_allocated_flags(queues, now))``.
+        """
+        return any(self.over_allocated_flags(queues, now))
 
     # ------------------------------------------------------------------
     # Bookkeeping hooks (no-ops by default)

@@ -84,6 +84,36 @@ class DynamicThreshold(BufferManager):
             flags.append(queue.length_bytes > (limit if limit > 0.0 else 0.0))
         return flags
 
+    def any_over_allocated(self, queues, now: float) -> bool:
+        # O(1) guard: a queue is over-allocated iff its length exceeds
+        # max(0, alpha_q * free).  Every queue's length is at most the
+        # cell-granular occupancy and alpha_q >= alpha_min (the scheme's
+        # alpha or the switch's smallest override), so no queue can be
+        # over-allocated while used <= alpha_min * free.  ``queues`` must
+        # belong to the attached switch.
+        switch = self.switch
+        if switch is None:
+            self._require_switch()
+        pool = switch.cell_pool
+        free = pool.free_bytes
+        default_alpha = self.alpha
+        alpha_min = switch.min_alpha_override
+        if default_alpha < alpha_min:
+            alpha_min = default_alpha
+        if pool.used_bytes <= alpha_min * free:
+            return False
+        # Early-exit scan with the same comparison as over_allocated_flags;
+        # an empty queue is never over-allocated.
+        for queue in queues:
+            length = queue.length_bytes
+            if length:
+                override = queue.alpha_override
+                alpha = default_alpha if override is None else override
+                limit = alpha * free
+                if length > (limit if limit > 0.0 else 0.0):
+                    return True
+        return False
+
     # ------------------------------------------------------------------
     # Analytical helpers (used by experiments and tests)
     # ------------------------------------------------------------------

@@ -15,6 +15,14 @@ The engine mirrors the egress-side datapath of Figure 8/9 in the paper:
 The engine is policy-agnostic: it asks the attached buffer manager which
 queues are over-allocated, so it can serve both round-robin Occamy and the
 longest-queue-drop variant evaluated in Figure 21.
+
+In hardware the bitmap is a bank of per-cycle comparators and costs nothing
+extra.  In software the engine only does work when a queue can actually be
+over-allocated: the switch enters it after an admission that the buffer
+manager's :meth:`~repro.core.base.BufferManager.any_over_allocated` check
+flags, and after dequeues and drops only while :attr:`ExpulsionEngine.pending`
+is set.  Both shortcuts skip only calls that would have found an empty
+bitmap, so simulated outcomes are unchanged.
 """
 
 from __future__ import annotations
@@ -139,7 +147,15 @@ class RoundRobinPointer:
 
 @dataclass
 class HeadDropSelector:
-    """Bitmap of over-allocated queues plus a round-robin arbiter (Figure 9)."""
+    """Bitmap of over-allocated queues plus a round-robin arbiter (Figure 9).
+
+    The engine refreshes the bitmap before each head-drop attempt, and only
+    once some queue is known to be over-allocated.  Between engine runs the
+    bitmap keeps the comparator outputs of the last attempt; the runs it
+    skips are exactly those that would have found every bit clear, and the
+    arbiter's pointer only moves on a grant, so skipping them leaves the
+    grant sequence unchanged.
+    """
 
     num_queues: int
     arbiter: RoundRobinPointer = field(default_factory=RoundRobinPointer)
@@ -176,7 +192,7 @@ class HeadDropSelector:
         return best_idx
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpulsionResult:
     """Outcome of one :meth:`ExpulsionEngine.run` invocation."""
 
@@ -187,14 +203,26 @@ class ExpulsionResult:
     retry_after: float = 0.0
 
 
+#: Shared result of a run that found no over-allocated queue.
+IDLE = ExpulsionResult()
+
+
 class ExpulsionEngine:
     """Drives head drops for over-allocated queues using redundant bandwidth.
 
-    The engine is owned by a :class:`~repro.switchsim.switch.SharedMemorySwitch`
-    and invoked opportunistically after enqueues and dequeues.  Each invocation
-    expels as many packets as the token bucket allows (bounded by
-    ``max_drops_per_run`` to keep single events cheap), then reports whether it
-    is blocked waiting for memory bandwidth so the switch can schedule a retry.
+    The engine is owned by a :class:`~repro.switchsim.switch.SharedMemorySwitch`.
+    The switch runs it after an admission that leaves some queue
+    over-allocated, after dequeues and drops while :attr:`pending` is set, and
+    on its token-retry event.  Each run expels as many packets as the token
+    bucket allows (bounded by ``max_drops_per_run`` to keep single events
+    cheap), then reports whether it is blocked waiting for memory bandwidth so
+    the switch can schedule a retry.
+
+    This is exact for monotone thresholds such as DT's ``alpha * (B - Q(t))``
+    (see :attr:`~repro.core.base.BufferManager.uses_expulsion_engine`):
+    dequeues, drops and head drops only shorten queues and grow the free
+    buffer, so once a run ends on an empty bitmap no queue can become
+    over-allocated again until the next admission or alpha change.
     """
 
     def __init__(
@@ -213,18 +241,31 @@ class ExpulsionEngine:
         self.victim_policy = victim_policy
         self.max_drops_per_run = max_drops_per_run
         self.selector = HeadDropSelector(num_queues=switch.total_queue_count)
+        #: Whether some queue may still be over-allocated.  Set by a run that
+        #: finds one (and by alpha changes), cleared only by a run that ends
+        #: on an empty bitmap; a run blocked on tokens or stopped by
+        #: ``max_drops_per_run`` leaves it set.
+        self.pending = False
         #: Cumulative statistics.
         self.total_expelled_packets = 0
         self.total_expelled_bytes = 0
 
     def run(self, now: float) -> ExpulsionResult:
         """Expel head packets from over-allocated queues while bandwidth allows."""
-        result = ExpulsionResult()
+        if not self.manager.any_over_allocated(self.switch.queue_views(), now):
+            self.pending = False
+            return IDLE
+        self.pending = True
+        expelled_packets = 0
+        expelled_bytes = 0
+        blocked_on_tokens = False
+        retry_after = 0.0
         for _ in range(self.max_drops_per_run):
             views = self.switch.queue_views()
             flags = self.manager.over_allocated_flags(views, now)
             self.selector.update(flags)
             if not self.selector.any_over_allocated():
+                self.pending = False
                 break
             if self.victim_policy == "longest":
                 lengths = [view.length_bytes for view in views]
@@ -240,10 +281,10 @@ class ExpulsionEngine:
                 continue
             cells = self.switch.cells_for_bytes(head_bytes)
             if not self.token_bucket.try_consume_expulsion(cells, now):
-                result.blocked_on_tokens = True
+                blocked_on_tokens = True
                 # Never retry more often than one cell-time: retrying on
                 # sub-cell token deficits would flood the event queue.
-                result.retry_after = max(
+                retry_after = max(
                     self.token_bucket.time_until(cells, now),
                     1.0 / self.token_bucket.rate,
                 )
@@ -251,8 +292,9 @@ class ExpulsionEngine:
             dropped = self.switch.head_drop(victim.queue_id, now)
             if dropped is None:
                 continue
-            result.expelled_packets += 1
-            result.expelled_bytes += dropped
+            expelled_packets += 1
+            expelled_bytes += dropped
             self.total_expelled_packets += 1
             self.total_expelled_bytes += dropped
-        return result
+        return ExpulsionResult(expelled_packets, expelled_bytes,
+                               blocked_on_tokens, retry_after)

@@ -9,11 +9,17 @@ from repro.switchsim.cells import PacketDescriptor
 
 
 class ActivityListener(Protocol):
-    """Owner interested in empty<->non-empty transitions (the switch)."""
+    """Owner interested in a queue's state changes (the switch).
+
+    It hears every empty<->non-empty transition and every change of the
+    queue's ``alpha_override``.
+    """
 
     def queue_became_active(self, queue: "SwitchQueue") -> None: ...
 
     def queue_became_inactive(self, queue: "SwitchQueue") -> None: ...
+
+    def queue_alpha_changed(self, queue: "SwitchQueue") -> None: ...
 
 
 class SwitchQueue:
@@ -30,16 +36,18 @@ class SwitchQueue:
         weight: scheduling weight for WRR/DRR.
         alpha_override: optional per-queue DT/ABM alpha (commodity chips allow
             per-queue alpha configuration, used heavily in the paper's
-            priority experiments).
+            priority experiments).  Setting it notifies the activity
+            listener, which keeps the switch's minimum override current.
         ecn_threshold_bytes: optional per-queue ECN marking threshold.
         activity_listener: optional owner notified on every empty<->non-empty
-            transition; the switch uses it to maintain per-priority active
-            queue counts incrementally instead of rescanning all queues.
+            transition and every ``alpha_override`` change; the switch uses
+            it to maintain per-priority active queue counts and the minimum
+            alpha override incrementally instead of rescanning all queues.
     """
 
     __slots__ = (
         "queue_id", "port_id", "class_index", "priority", "weight",
-        "alpha_override", "ecn_threshold_bytes", "activity_listener",
+        "_alpha_override", "ecn_threshold_bytes", "activity_listener",
         "_descriptors", "_length_bytes", "deficit_bytes", "_drain_rate",
         "_last_dequeue_time", "enqueued_packets", "enqueued_bytes",
         "dequeued_packets", "dequeued_bytes", "dropped_packets",
@@ -61,7 +69,7 @@ class SwitchQueue:
         self.class_index = class_index
         self.priority = priority
         self.weight = weight
-        self.alpha_override = alpha_override
+        self._alpha_override = alpha_override
         self.ecn_threshold_bytes = ecn_threshold_bytes
         self.activity_listener: Optional[ActivityListener] = None
 
@@ -97,6 +105,16 @@ class SwitchQueue:
     @property
     def drain_rate_estimate(self) -> float:
         return self._drain_rate
+
+    @property
+    def alpha_override(self) -> Optional[float]:
+        return self._alpha_override
+
+    @alpha_override.setter
+    def alpha_override(self, value: Optional[float]) -> None:
+        self._alpha_override = value
+        if self.activity_listener is not None:
+            self.activity_listener.queue_alpha_changed(self)
 
     @property
     def is_active(self) -> bool:

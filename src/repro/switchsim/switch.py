@@ -8,6 +8,7 @@ preemptive schemes -- an expulsion engine fed by redundant memory bandwidth.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
@@ -161,6 +162,11 @@ class SharedMemorySwitch:
                 self._queues.append(queue)
             self.ports.append(port)
 
+        #: Smallest per-queue ``alpha_override`` (``inf`` when none is set),
+        #: kept current through the queues' listener; DT's occupancy guard
+        #: bounds every queue's threshold from below with it.
+        self.min_alpha_override = math.inf
+
         # Memory bandwidth accounting: a sliding window over cell-data reads
         # and writes, compared against the total memory bandwidth.
         self._memory_rate = RateWindow(window=50e-6)
@@ -288,6 +294,16 @@ class SharedMemorySwitch:
         self._active_total -= 1
         self._active_by_priority[queue.priority] -= 1
 
+    def queue_alpha_changed(self, queue: SwitchQueue) -> None:
+        self.min_alpha_override = min(
+            (q.alpha_override for q in self._queues
+             if q.alpha_override is not None),
+            default=math.inf)
+        if self.expulsion_engine is not None:
+            # A smaller alpha can over-allocate a queue without an
+            # admission; let the next dequeue or drop run the engine.
+            self.expulsion_engine.pending = True
+
     def cells_for_bytes(self, nbytes: int) -> int:
         return self.cell_pool.cells_for(nbytes)
 
@@ -343,9 +359,11 @@ class SharedMemorySwitch:
                 # Defensive re-check: evictions may have freed less than planned.
                 decision = AdmissionDecision(False, reason="buffer_full")
 
+        engine = self.expulsion_engine
         if not decision.accept:
             self._drop_arrival(queue, packet, decision.reason or "dropped", now)
-            self._maybe_expel(now)
+            if engine is not None and engine.pending:
+                self._maybe_expel(now)
             return False
 
         descriptor = self.cell_pool.allocate(packet, now)
@@ -372,7 +390,11 @@ class SharedMemorySwitch:
             self._trace(queue, now)
 
         self._try_transmit(self.ports[queue.port_id])
-        if self.expulsion_engine is not None:
+        # Only an admission can over-allocate a queue, so this is the one
+        # call site that asks the buffer manager when nothing is pending.
+        if engine is not None and (
+                engine.pending
+                or self.manager.any_over_allocated(self._queues, now)):
             self._maybe_expel(now)
         return True
 
@@ -477,7 +499,7 @@ class SharedMemorySwitch:
             # host), which recycles it at its eventual death site.
             self.on_transmit(packet, port.port_id)
         self._try_transmit(port)
-        if engine is not None:
+        if engine is not None and engine.pending:
             self._maybe_expel(now)
 
     def _finish_transmit_sink(self, port: EgressPort) -> None:
@@ -518,7 +540,7 @@ class SharedMemorySwitch:
         if stats.trace_queues:
             self._trace(queue, now)
         self._try_transmit(port)
-        if engine is not None:
+        if engine is not None and engine.pending:
             self._maybe_expel(now)
 
     # ------------------------------------------------------------------
@@ -558,10 +580,14 @@ class SharedMemorySwitch:
     # Expulsion engine driver
     # ------------------------------------------------------------------
     def _maybe_expel(self, now: float) -> None:
-        engine = self.expulsion_engine
-        if engine is None:
-            return
-        result = engine.run(now)
+        """Run the expulsion engine and schedule a token retry if blocked.
+
+        Call sites skip this while the engine is not ``pending``, except
+        after an admission that leaves a queue over-allocated and on the
+        retry event itself: a dequeue or drop cannot over-allocate a queue
+        under the monotone thresholds the engine requires.
+        """
+        result = self.expulsion_engine.run(now)
         if result.blocked_on_tokens and result.retry_after > 0:
             if self._expulsion_retry_event is None:
                 self._expulsion_retry_event = self.sim.schedule(
